@@ -17,6 +17,11 @@ perf overhaul targets —
   provisioned :class:`~repro.core.engine.ScbrEnclaveLibrary`
   (``match_publications`` ecall: CMAC verify, CTR decrypt, header
   decode, traced matching);
+* ``envelope_open_batch_vs_single`` — one
+  :meth:`~repro.core.messages.SecureChannel.open_many` over
+  ``_OPEN_BATCH`` publication headers against as many single ``open``
+  calls on the same headers, in-process (the lockstep CMAC and
+  one-pass CTR path against the per-envelope path);
 * ``matcher_events_per_s`` — arena-traced matching over a generated
   workload (the memory-model accounting path). Two legs share one
   forest: the per-event
@@ -39,7 +44,8 @@ the same file*:
 CI's ``hotpath-smoke`` job runs the reduced suite with
 ``--require-aes-vs-reference`` as an absolute in-process gate: the
 production CTR path must beat the pinned reference regardless of what
-the committed record says.
+the committed record says. ``--require-envelope-batch-vs-single``
+gates the batched envelope open against single opens the same way.
 """
 
 from __future__ import annotations
@@ -54,9 +60,9 @@ from typing import Dict, List, Optional
 from repro.bench.export import bench_metadata, record_bench
 from repro.core.engine import PROVISION_AAD, ScbrEnclaveLibrary
 from repro.core.keys import ProviderKeyChain
-from repro.core.messages import (decode_public_key, encode_header,
-                                 encode_public_key, encode_subscription,
-                                 hybrid_encrypt)
+from repro.core.messages import (SecureChannel, decode_public_key,
+                                 encode_header, encode_public_key,
+                                 encode_subscription, hybrid_encrypt)
 from repro.crypto.cmac import AesCmac
 from repro.crypto.ctr import AesCtr
 from repro.crypto.encoding import pack_fields
@@ -171,6 +177,39 @@ def _bench_envelopes(n_subscriptions: int, n_envelopes: int,
     }
 
 
+#: Headers per batched open — one ingress batch, one
+#: ``match_publications`` ecall.
+_OPEN_BATCH = 32
+
+
+def _bench_envelope_open(repeats: int) -> Dict[str, float]:
+    """``open_many`` over one batch of headers vs single ``open`` calls.
+
+    Both legs open the same ``_OPEN_BATCH`` e80a1 publication headers
+    with the same channel; each leg's best of ``repeats`` runs is kept,
+    so the ratio compares the two code paths, not host noise.
+    """
+    channel = SecureChannel(_KEY)
+    dataset = build_dataset("e80a1", 10, _OPEN_BATCH)
+    wire = [channel.protect(encode_header(event))
+            for event in dataset.publications[:_OPEN_BATCH]]
+    assert channel.open_many(wire) == [channel.open(w) for w in wire]
+    batch_s = single_s = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        channel.open_many(wire)
+        batch_s = min(batch_s, time.perf_counter() - start)
+        start = time.perf_counter()
+        for envelope in wire:
+            channel.open(envelope)
+        single_s = min(single_s, time.perf_counter() - start)
+    return {
+        "envelope_open_batch_ms": round(batch_s * 1e3 / len(wire), 4),
+        "envelope_open_single_ms": round(single_s * 1e3 / len(wire), 4),
+        "envelope_open_batch_vs_single": round(single_s / batch_s, 3),
+    }
+
+
 #: Batch size for the columnar matcher leg — large enough to amortise
 #: the per-batch column passes, small enough to stay a realistic
 #: publication burst (one ``match_publications`` ecall's worth).
@@ -249,10 +288,12 @@ def run_hotpath_bench(reduced: bool = False,
         ctr_bytes, ref_bytes, cmac_bytes = 96 * 1024, 8 * 1024, 16 * 1024
         n_subs, n_env, batch = 40, 60, 20
         m_subs, m_events = 250, 120
+        open_repeats = 5
     else:
         ctr_bytes, ref_bytes, cmac_bytes = 512 * 1024, 32 * 1024, 64 * 1024
         n_subs, n_env, batch = 150, 300, 50
         m_subs, m_events = 1000, 400
+        open_repeats = 20
 
     measurements: Dict[str, float] = {
         "aes_ctr_mbps": _bench_ctr(ctr_bytes),
@@ -261,6 +302,7 @@ def run_hotpath_bench(reduced: bool = False,
         "cmac_mbps": _bench_cmac(cmac_bytes),
     }
     measurements.update(_bench_envelopes(n_subs, n_env, batch))
+    measurements.update(_bench_envelope_open(open_repeats))
     measurements.update(_bench_matcher(m_subs, m_events,
                                        backend=matcher_backend))
     measurements["aes_vs_reference"] = round(
@@ -345,6 +387,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="fail unless AesCtr is at least X times "
                              "faster than the pinned reference "
                              "(in-process gate, CI)")
+    parser.add_argument("--require-envelope-batch-vs-single",
+                        type=float, default=0.0, metavar="X",
+                        help="fail unless open_many over one header "
+                             "batch is at least X times faster per "
+                             "envelope than single opens (in-process "
+                             "gate, CI)")
     parser.add_argument("--require-aes-speedup", type=float,
                         default=0.0, metavar="X",
                         help="fail unless recorded aes_ctr speedup "
@@ -382,6 +430,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         failures.append(
             f"AesCtr is only {ratio:.2f}x the pinned reference "
             f"(required {args.require_aes_vs_reference:.2f}x)")
+    open_ratio = measurements.get("envelope_open_batch_vs_single", 0.0)
+    if args.require_envelope_batch_vs_single and \
+            open_ratio < args.require_envelope_batch_vs_single:
+        failures.append(
+            f"open_many is only {open_ratio:.2f}x single opens "
+            f"(required {args.require_envelope_batch_vs_single:.2f}x)")
     matcher_ratio = measurements.get("matcher_columnar_vs_forest", 0.0)
     if args.require_matcher_speedup and \
             matcher_ratio < args.require_matcher_speedup:

@@ -439,6 +439,9 @@ def _run_hotpath(args: argparse.Namespace) -> int:
     if args.require_matcher_speedup is not None:
         argv += ["--require-matcher-speedup",
                  str(args.require_matcher_speedup)]
+    if args.require_envelope_batch_vs_single is not None:
+        argv += ["--require-envelope-batch-vs-single",
+                 str(args.require_envelope_batch_vs_single)]
     return hotpath_main(argv)
 
 
@@ -779,6 +782,10 @@ def build_parser() -> argparse.ArgumentParser:
                     default=None, metavar="RATIO",
                     help="fail unless the columnar matcher beats the "
                          "forest walk by this factor")
+    ph.add_argument("--require-envelope-batch-vs-single", type=float,
+                    default=None, metavar="RATIO",
+                    help="fail unless open_many over one header batch "
+                         "beats single opens by this factor")
     ph.set_defaults(func=_run_hotpath)
 
     pi = sub.add_parser(

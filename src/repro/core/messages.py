@@ -22,6 +22,8 @@ import struct
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
+from repro.crypto.cmac import check_tag
+from repro.crypto.ctr import check_nonce
 from repro.crypto.encoding import (b64decode, b64encode, pack_fields,
                                    unpack_fields)
 from repro.crypto.hkdf import hkdf
@@ -198,13 +200,7 @@ class SecureChannel:
 
     def open(self, blob: bytes) -> Tuple[bytes, bytes]:
         """Verify and decrypt; returns ``(plaintext, aad)``."""
-        try:
-            fields = unpack_fields(blob)
-        except NetworkError as exc:
-            raise CryptoError(f"malformed secure envelope: {exc}")
-        if len(fields) != 4:
-            raise CryptoError("malformed secure envelope")
-        nonce, ciphertext, tag, aad = fields
+        nonce, ciphertext, tag, aad = _parse_envelope(blob)
         self._mac.verify(nonce + aad + ciphertext, tag)
         return self._ctr.process(nonce, ciphertext), aad
 
@@ -212,27 +208,55 @@ class SecureChannel:
                   ) -> List[Tuple[bytes, bytes]]:
         """Verify and decrypt a batch; returns ``(plaintext, aad)`` pairs.
 
-        Semantically a loop of :meth:`open` — any failing envelope
-        raises before anything is returned — but all CMACs are checked
-        first and the CTR decryptions then run through one batched
-        keystream pass (:meth:`~repro.crypto.ctr.AesCtr.process_many`),
-        which is what the engine's ``match_publications`` ecall rides.
+        Semantically a loop of :meth:`open`: the first envelope that
+        fails, in index order, raises the error :meth:`open` would
+        raise for it, and nothing is returned. The envelopes are parsed
+        up to the first malformed one; the CMACs of all parsed ones are
+        computed together (:meth:`~repro.crypto.cmac.AesCmac.tag_many`
+        runs the CBC-MAC chains in lockstep) and every tag is checked
+        with :func:`hmac.compare_digest`, in index order, before the
+        malformed envelope's error is raised or any plaintext is made.
+        Decryption is then one CTR keystream pass over the whole batch
+        (:meth:`~repro.crypto.ctr.AesCtr.process_many`). A batch of
+        fewer than 16 envelopes tags each one as :meth:`open` does.
+
+        This is what the engine's ``match_publications`` ecall rides.
+        It changes wall-clock time only: the enclave charges its
+        simulated AES cost per envelope, as for single opens.
         """
-        verify = self._mac.verify
-        pairs: List[Tuple[bytes, bytes]] = []
-        aads: List[bytes] = []
+        envelopes = []
+        malformed = None
         for blob in blobs:
             try:
-                fields = unpack_fields(blob)
-            except NetworkError as exc:
-                raise CryptoError(f"malformed secure envelope: {exc}")
-            if len(fields) != 4:
-                raise CryptoError("malformed secure envelope")
-            nonce, ciphertext, tag, aad = fields
-            verify(nonce + aad + ciphertext, tag)
-            pairs.append((nonce, ciphertext))
-            aads.append(aad)
-        return list(zip(self._ctr.process_many(pairs), aads))
+                envelopes.append(_parse_envelope(blob))
+            except CryptoError as exc:
+                malformed = exc
+                break
+        expected = self._mac.tag_many([nonce + aad + ciphertext
+                                       for nonce, ciphertext, _tag, aad
+                                       in envelopes])
+        for (nonce, _ciphertext, tag, _aad), computed in zip(envelopes,
+                                                             expected):
+            check_tag(computed, tag)
+            check_nonce(nonce)
+        if malformed is not None:
+            raise malformed
+        plaintexts = self._ctr.process_many(
+            [(nonce, ciphertext) for nonce, ciphertext, _tag, _aad
+             in envelopes])
+        return [(plaintext, fields[3])
+                for plaintext, fields in zip(plaintexts, envelopes)]
+
+
+def _parse_envelope(blob: bytes) -> List[bytes]:
+    """Split an envelope into ``[nonce, ciphertext, tag, aad]``."""
+    try:
+        fields = unpack_fields(blob)
+    except NetworkError as exc:
+        raise CryptoError(f"malformed secure envelope: {exc}")
+    if len(fields) != 4:
+        raise CryptoError("malformed secure envelope")
+    return fields
 
 
 # -- hybrid asymmetric envelope ---------------------------------------------------------

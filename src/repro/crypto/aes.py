@@ -11,9 +11,12 @@ round is collapsed into four 256-entry 32-bit lookup tables (the classic
 column becomes four table lookups and four XORs on machine words instead
 of sixteen byte operations. Decryption uses the equivalent inverse cipher
 with four TD tables and an InvMixColumns-transformed key schedule, so it
-runs the same word-oriented round. Everything is verified against the
-FIPS-197 / NIST test vectors and differentially fuzzed against the pinned
-per-byte implementation in :mod:`repro.crypto.reference`.
+runs the same word-oriented round. Batches of blocks go through
+:meth:`AES.encrypt_blocks`, which switches to a byte-sliced formulation
+(one big integer per batch, every round a fixed number of C-level
+operations) once a batch is large enough. Everything is verified against
+the FIPS-197 / NIST test vectors and differentially fuzzed against the
+pinned per-byte implementation in :mod:`repro.crypto.reference`.
 
 This is a clean-room educational implementation: it favours clarity and
 speed over side-channel resistance (table lookups are not constant time),
@@ -23,12 +26,13 @@ which is acceptable for a simulator whose threat model is explicitly
 
 from __future__ import annotations
 
+from operator import itemgetter
 from struct import Struct
 from typing import List, Tuple
 
 from repro.errors import CryptoError
 
-__all__ = ["AES", "BLOCK_SIZE", "xor_bytes"]
+__all__ = ["AES", "BLOCK_SIZE", "counter_blocks", "xor_bytes"]
 
 BLOCK_SIZE = 16
 
@@ -136,40 +140,50 @@ def _build_t_tables() -> Tuple[List[int], ...]:
 
 _T0, _T1, _T2, _T3, _TD0, _TD1, _TD2, _TD3 = _build_t_tables()
 
-# Translation tables for the byte-sliced batch path: SubBytes fused
-# with the three MixColumns coefficients, applied with bytes.translate
-# across a whole batch of blocks at once.
-_TR_S = bytes(_SBOX)
-_TR_S2 = bytes(_gf_mul(s, 2) for s in _SBOX)
-_TR_S3 = bytes(_gf_mul(s, 3) for s in _SBOX)
+#: Byte-sliced layout: row ``p = 4*r + c`` of the sliced state holds
+#: state byte ``q = 4*c + r`` (row ``r``, column ``c``) of every block.
+#: Rows are ordered row-major so MixColumns' "same column, next row"
+#: is a rotation of the whole state by four layout rows.
+_LAYOUT_Q = tuple(4 * (p % 4) + p // 4 for p in range(16))
+_TO_LAYOUT = itemgetter(*_LAYOUT_Q)
 
 
-def _build_slice_recipe() -> Tuple[Tuple[int, int, int, int], ...]:
-    """ShiftRows+MixColumns wiring for the byte-sliced state layout.
+def _build_shift_rows_runs() -> Tuple[Tuple[int, int], ...]:
+    """ShiftRows as contiguous runs of source layout rows.
 
-    State position ``q = 4*column + row`` (the flat column-major layout
-    used throughout). After ShiftRows, row ``j`` of column ``c`` reads
-    input position ``4*((c+j) % 4) + j``; MixColumns row ``r`` applies
-    coefficients (2, 3, 1, 1) to rows ``r, r+1, r+2, r+3`` of that
-    column. Each entry is the four source positions for
-    ``out[q] = 2*S(in[a]) ^ 3*S(in[b]) ^ S(in[c]) ^ S(in[d])``.
+    In the row-major layout ShiftRows moves ``old[4r + (c+r) % 4]`` to
+    ``new[4r + c]``. Reading the source rows in output order and
+    merging neighbours gives seven ``[start, stop)`` runs, so the whole
+    permutation is seven slices and one join per round.
     """
-    def src(c: int, j: int) -> int:
-        return 4 * ((c + j) % 4) + j
+    src = [4 * r + (c + r) % 4 for r in range(4) for c in range(4)]
+    runs = []
+    start = prev = src[0]
+    for row in src[1:]:
+        if row != prev + 1:
+            runs.append((start, prev + 1))
+            start = row
+        prev = row
+    runs.append((start, prev + 1))
+    return tuple(runs)
 
-    recipe = []
-    for q in range(16):
-        c, r = divmod(q, 4)
-        recipe.append((src(c, r), src(c, (r + 1) % 4),
-                       src(c, (r + 2) % 4), src(c, (r + 3) % 4)))
-    return tuple(recipe)
 
+_SHIFT_ROWS_RUNS = _build_shift_rows_runs()
 
-_SLICE_RECIPE = _build_slice_recipe()
+#: Fills a 16-byte round key out to a 256-byte translation table.
+_TABLE_PAD = bytes(256 - 16)
 
-#: Below this many blocks the word-loop beats the byte-sliced path's
-#: fixed per-round C-call overhead.
+#: Batches below this many blocks run the word loop. The sliced core's
+#: cost per call is nearly fixed, so it only pays off across many
+#: blocks; at 16 a single envelope header (up to 15 blocks) and a
+#: batch of fewer than 16 envelopes keep their per-block path.
 _SLICE_THRESHOLD = 16
+
+
+def counter_blocks(counter: int, n_blocks: int) -> bytes:
+    """``c || c+1 || ...`` as 16-byte big-endian blocks (mod 2^128)."""
+    return b"".join([((counter + i) & _COUNTER_MASK).to_bytes(16, "big")
+                     for i in range(n_blocks)])
 
 
 class AES:
@@ -182,7 +196,7 @@ class AES:
 
     _ROUNDS_BY_KEYLEN = {16: 10, 24: 12, 32: 14}
 
-    __slots__ = ("_rounds", "_ek", "_dk", "_rk_bytes")
+    __slots__ = ("_rounds", "_ek", "_dk", "_rk_rows", "_slice_consts")
 
     def __init__(self, key: bytes) -> None:
         if len(key) not in self._ROUNDS_BY_KEYLEN:
@@ -192,9 +206,11 @@ class AES:
         self._rounds = self._ROUNDS_BY_KEYLEN[len(key)]
         self._ek = self._expand_key(key)
         self._dk = self._invert_key_schedule(self._ek)
-        # Per-round key bytes in state order, for the sliced path.
-        self._rk_bytes = [_PACK4.pack(*self._ek[4 * r:4 * r + 4])
-                          for r in range(self._rounds + 1)]
+        # Per-round key bytes in layout-row order, for the sliced path.
+        self._rk_rows = [
+            bytes(_TO_LAYOUT(_PACK4.pack(*self._ek[4 * r:4 * r + 4])))
+            for r in range(self._rounds + 1)]
+        self._slice_consts = (0, ())
 
     @property
     def rounds(self) -> int:
@@ -331,69 +347,106 @@ class AES:
             raise CryptoError(f"block must be 16 bytes, got {len(block)}")
         return _PACK4.pack(*self._decrypt_words(*_PACK4.unpack(block)))
 
+    def encrypt_blocks(self, blocks: bytes) -> bytes:
+        """Encrypt a buffer of independent 16-byte blocks (ECB).
+
+        The batch entry point every mode builds on: CTR hands it a run
+        of counter blocks, lockstep CMAC one block per live chain.
+        Below :data:`_SLICE_THRESHOLD` blocks each block runs through
+        the word-oriented core; larger batches switch to the
+        byte-sliced formulation, which carries the whole batch through
+        each round in a fixed number of C-level operations.
+        """
+        n_blocks, remainder = divmod(len(blocks), BLOCK_SIZE)
+        if remainder:
+            raise CryptoError(
+                f"block buffer must be a multiple of 16 bytes, "
+                f"got {len(blocks)}")
+        if n_blocks >= _SLICE_THRESHOLD:
+            return self._encrypt_sliced(blocks, n_blocks)
+        out = bytearray(len(blocks))
+        pack_into = _PACK4.pack_into
+        unpack_from = _PACK4.unpack_from
+        encrypt = self._encrypt_words
+        for offset in range(0, len(blocks), BLOCK_SIZE):
+            pack_into(out, offset, *encrypt(*unpack_from(blocks, offset)))
+        return bytes(out)
+
     def ctr_keystream(self, counter: int, n_blocks: int) -> bytes:
         """``E_K(c) || E_K(c+1) || ...`` for a 128-bit integer counter.
 
-        The CTR mode's whole keystream in one call: counter arithmetic
-        is plain integer addition (mod 2^128). Small batches run the
-        word-oriented core per block; larger batches switch to the
-        byte-sliced formulation, which carries the entire batch through
-        each round in a handful of C-level operations.
+        The CTR mode's whole keystream in one call: build the counter
+        blocks (plain integer addition mod 2^128), then encrypt them
+        with :meth:`encrypt_blocks`.
         """
-        if n_blocks >= _SLICE_THRESHOLD:
-            return self._ctr_keystream_sliced(counter, n_blocks)
-        out = bytearray(n_blocks * BLOCK_SIZE)
-        pack_into = _PACK4.pack_into
-        encrypt = self._encrypt_words
-        for i in range(n_blocks):
-            c = (counter + i) & _COUNTER_MASK
-            pack_into(out, i * BLOCK_SIZE,
-                      *encrypt(c >> 96, (c >> 64) & _WORD_MASK,
-                               (c >> 32) & _WORD_MASK, c & _WORD_MASK))
-        return bytes(out)
+        return self.encrypt_blocks(counter_blocks(counter, n_blocks))
 
-    def _ctr_keystream_sliced(self, counter: int,
-                              n_blocks: int) -> bytes:
-        """Byte-sliced batch encryption of ``n_blocks`` counter blocks.
+    def _slice_constants(self, n: int) -> tuple:
+        """Round keys and masks for a sliced batch of ``n`` blocks.
 
-        The state is held position-major: sixteen big integers, each
-        packing byte position ``q`` of *every* block in the batch.
-        SubBytes (fused with each MixColumns coefficient) is a single
-        ``bytes.translate`` per position and variant, ShiftRows is
-        index wiring (:data:`_SLICE_RECIPE`), and MixColumns /
-        AddRoundKey are big-integer XORs — every per-byte operation
-        runs vectorised in C across the whole batch.
+        Each round key becomes one integer with every layout row's key
+        byte repeated ``n`` times; the masks serve the rotations and
+        the bitwise ``xtime``. The last width's constants are kept, so
+        the block steps of a lockstep CMAC build them once.
         """
-        n = n_blocks
-        blocks = bytearray(BLOCK_SIZE * n)
-        for i in range(n):
-            blocks[16 * i:16 * i + 16] = (
-                (counter + i) & _COUNTER_MASK).to_bytes(16, "big")
+        width, consts = self._slice_consts
+        if width == n:
+            return consts
         from_b = int.from_bytes
-        # Repeat each round-key byte across the batch width so
-        # AddRoundKey is one XOR per position.
-        rk = [[from_b(bytes([kb]) * n, "big") for kb in rkb]
-              for rkb in self._rk_bytes]
-        k0 = rk[0]
-        state = [from_b(blocks[q::16], "big") ^ k0[q]
-                 for q in range(16)]
-        tr_s, tr_s2, tr_s3 = _TR_S, _TR_S2, _TR_S3
-        recipe = _SLICE_RECIPE
+        size = BLOCK_SIZE * n
+        # Translating a buffer of layout-row indices through a table
+        # whose entry ``p`` is row ``p``'s key byte spreads the round
+        # key across the batch.
+        rows = b"".join([bytes((p,)) * n for p in range(16)])
+        consts = ([from_b(rows.translate(key + _TABLE_PAD), "big")
+                   for key in self._rk_rows],
+                  (1 << (8 * size)) - 1,
+                  from_b(b"\x7f" * size, "big"),
+                  from_b(b"\x01" * size, "big"))
+        self._slice_consts = (n, consts)
+        return consts
+
+    def _encrypt_sliced(self, blocks: bytes, n: int) -> bytes:
+        """Byte-sliced encryption of ``n`` blocks.
+
+        The state is one big integer of sixteen layout rows
+        (:data:`_LAYOUT_Q`), each row packing one state byte of every
+        block. Per round, ShiftRows is seven slices
+        (:data:`_SHIFT_ROWS_RUNS`) and SubBytes one ``bytes.translate``.
+        MixColumns works on whole rows: with ``x`` the substituted
+        state, ``t = x ^ rot1(x)`` and ``a = t ^ rot2(t)`` (the XOR of
+        each column), the mixed byte ``2a0 ^ 3a1 ^ a2 ^ a3`` is
+        ``xtime(t) ^ x ^ a``. Rotations, ``xtime`` and AddRoundKey are
+        big-integer shifts, masks and XORs, so every per-byte step runs
+        in C across the whole batch.
+        """
+        round_keys, mask, low7, low1 = self._slice_constants(n)
+        from_b = int.from_bytes
+        size = BLOCK_SIZE * n
+        bits = 8 * size
+        # rot1 / rot2 move one / two state rows: 4 / 8 layout rows.
+        rot1, rot2 = 32 * n, 64 * n
+        runs = [(start * n, stop * n) for start, stop in _SHIFT_ROWS_RUNS]
+        sbox = _SBOX
+        state = from_b(b"".join([blocks[q::16] for q in _LAYOUT_Q]),
+                       "big") ^ round_keys[0]
         for r in range(1, self._rounds):
-            kr = rk[r]
-            tb = [s.to_bytes(n, "big") for s in state]
-            v1 = [from_b(b.translate(tr_s), "big") for b in tb]
-            v2 = [from_b(b.translate(tr_s2), "big") for b in tb]
-            v3 = [from_b(b.translate(tr_s3), "big") for b in tb]
-            state = [v2[a] ^ v3[b] ^ v1[c] ^ v1[d] ^ kr[q]
-                     for q, (a, b, c, d) in enumerate(recipe)]
+            b = state.to_bytes(size, "big")
+            x = from_b(b"".join([b[i:j] for i, j in runs])
+                       .translate(sbox), "big")
+            t = x ^ (((x << rot1) & mask) | (x >> (bits - rot1)))
+            state = (x ^ t
+                     ^ (((t << rot2) & mask) | (t >> (bits - rot2)))
+                     ^ ((t & low7) << 1) ^ (((t >> 7) & low1) * 0x1B)
+                     ^ round_keys[r])
         # Final round: SubBytes + ShiftRows, no MixColumns.
-        kf = rk[self._rounds]
-        out = bytearray(BLOCK_SIZE * n)
-        for q, (a, _b, _c, _d) in enumerate(recipe):
-            out[q::16] = (from_b(state[a].to_bytes(n, "big")
-                                 .translate(tr_s), "big")
-                          ^ kf[q]).to_bytes(n, "big")
+        b = state.to_bytes(size, "big")
+        last = (from_b(b"".join([b[i:j] for i, j in runs])
+                       .translate(sbox), "big")
+                ^ round_keys[self._rounds]).to_bytes(size, "big")
+        out = bytearray(size)
+        for p, q in enumerate(_LAYOUT_Q):
+            out[q::16] = last[p * n:(p + 1) * n]
         return bytes(out)
 
 

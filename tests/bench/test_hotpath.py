@@ -69,6 +69,12 @@ class TestSmokeRun:
         """The in-process gate the CI smoke job enforces."""
         assert measurements["aes_vs_reference"] > 1.5
 
+    def test_batched_open_beats_single_opens(self, measurements):
+        """The in-process envelope gate the CI smoke job enforces."""
+        assert measurements["envelope_open_batch_vs_single"] >= 1.5
+        assert measurements["envelope_open_batch_ms"] < \
+            measurements["envelope_open_single_ms"]
+
     def test_workload_sizes_recorded(self, measurements):
         assert measurements["n_envelopes"] > 0
         assert measurements["matcher_events"] > 0
@@ -122,6 +128,11 @@ class TestMainGates:
                      "--out", out_dir,
                      "--require-aes-speedup", "1e9"]) == 1
         assert "FAIL" in capsys.readouterr().err
+
+    def test_envelope_batch_gate(self, tmp_path, capsys):
+        assert main(["--reduced", "--out", str(tmp_path),
+                     "--require-envelope-batch-vs-single", "1e9"]) == 1
+        assert "open_many" in capsys.readouterr().err
 
     def test_matcher_speedup_gate(self, tmp_path, capsys):
         """The in-process columnar-vs-forest gate: impossible bars

@@ -112,6 +112,11 @@ class TestHotpathCommands:
                      "--require-matcher-speedup", "1e9"]) == 1
         assert "columnar matcher" in capsys.readouterr().err
 
+    def test_hotpath_envelope_gate_propagates(self, tmp_path, capsys):
+        assert main(["hotpath", "--reduced", "--out", str(tmp_path),
+                     "--require-envelope-batch-vs-single", "1e9"]) == 1
+        assert "open_many" in capsys.readouterr().err
+
     def test_profile_prints_stats_table(self, capsys):
         assert main(["profile", "--top", "5",
                      "--matcher-backend", "columnar"]) == 0

@@ -16,6 +16,7 @@ from repro.errors import (AuthenticationError, EnclaveError,
 from repro.matching.events import Event
 from repro.matching.subscriptions import Subscription
 from repro.sgx.platform import SgxPlatform
+from repro.sgx.enclave import _marshal_cycles
 from repro.sgx.sdk import load_enclave
 
 
@@ -176,6 +177,67 @@ class TestRegistrationAndMatching:
         register(enclave, keys, {"symbol": "HAL"}, "alice")
         subs, nodes, size = enclave.ecall("engine_stats")
         assert subs == 1 and nodes == 1 and size > 0
+
+
+class TestBatchedSimulatedCost:
+    """Batching changes wall-clock only, never the simulated figures.
+
+    ``match_publications`` over N envelopes must charge exactly the
+    in-enclave cycles of N ``match_publication`` calls (the enclave
+    transitions aside, which batching exists to save) and return the
+    same match lists. N = 32 puts the batch on the lockstep CMAC and
+    one-pass CTR path.
+    """
+
+    N = 32
+
+    def _world(self, vendor_key, keys):
+        platform = SgxPlatform(attestation_key_bits=768)
+        enclave = load_enclave(platform, ScbrEnclaveLibrary, vendor_key,
+                               rsa_bits=768)
+        provision(enclave, keys)
+        for i, symbol in enumerate(("HAL", "IBM", "XOM", "HAL")):
+            register(enclave, keys, {"symbol": symbol,
+                                     "price": (">", float(i))},
+                     f"client-{i}")
+        return platform, enclave
+
+    @staticmethod
+    def _transition_cycles(platform, args, result):
+        costs = platform.spec.costs
+        return (costs.eenter_cycles + costs.eexit_cycles
+                + _marshal_cycles(costs, args)
+                + _marshal_cycles(costs, (result,)))
+
+    def test_batch_charges_n_single_calls(self, vendor_key):
+        keys = ProviderKeyChain(rsa_bits=768)
+        channel = keys.channel()
+        envelopes = [channel.protect(encode_header(Event(
+            {"symbol": ("HAL", "IBM", "XOM")[i % 3],
+             "price": float(i % 7), "pad": "x" * (i % 40)})))
+            for i in range(self.N)]
+
+        batch_platform, batch_enclave = self._world(vendor_key, keys)
+        before = batch_platform.memory.cycles
+        batched = batch_enclave.ecall("match_publications", envelopes)
+        batch_work = (batch_platform.memory.cycles - before
+                      - self._transition_cycles(batch_platform,
+                                                (envelopes,), batched))
+
+        single_platform, single_enclave = self._world(vendor_key, keys)
+        singles = []
+        single_work = 0
+        for envelope in envelopes:
+            before = single_platform.memory.cycles
+            matched = single_enclave.ecall("match_publication", envelope)
+            single_work += (single_platform.memory.cycles - before
+                            - self._transition_cycles(
+                                single_platform, (envelope,), matched))
+            singles.append(matched)
+
+        assert batched == singles
+        assert any(singles)
+        assert batch_work == single_work
 
 
 class TestSealRestore:

@@ -145,6 +145,92 @@ class TestSecureChannel:
         assert plaintext == payload and got_aad == aad
 
 
+def _loop_open(channel, blobs):
+    """What a loop of ``open`` raises (or returns) on ``blobs``."""
+    try:
+        return [channel.open(blob) for blob in blobs]
+    except CryptoError as exc:
+        return exc
+
+
+def _spoil(channel, blob, kind):
+    """Break one envelope the way ``kind`` names."""
+    from repro.crypto.encoding import pack_fields, unpack_fields
+    nonce, ciphertext, tag, aad = unpack_fields(blob)
+    if kind == "bad-mac":
+        return pack_fields([nonce, ciphertext, bytes(16), aad])
+    if kind == "short-tag":
+        return pack_fields([nonce, ciphertext, tag[:15], aad])
+    if kind == "three-fields":
+        return pack_fields([nonce, ciphertext, tag])
+    if kind == "truncated":
+        return blob[:-1]
+    raise AssertionError(kind)
+
+
+class TestOpenManyFailureContract:
+    """``open_many`` fails exactly like a loop of ``open``.
+
+    In a 32-wide batch (wide enough for the lockstep CMAC and the one
+    keystream pass) the first failing index decides the error, whether
+    a bad MAC comes before a malformed envelope or after it, and a
+    failing batch returns nothing.
+    """
+
+    WIDTH = 32
+    POSITIONS = (0, WIDTH // 2, WIDTH - 1)
+
+    @pytest.fixture()
+    def batch(self):
+        channel = SecureChannel(b"k" * 16)
+        blobs = [channel.protect(b"header-%03d" % i * (1 + i % 7),
+                                 aad=b"a" * (i % 3))
+                 for i in range(self.WIDTH)]
+        return channel, blobs
+
+    def test_clean_batch_equals_loop(self, batch):
+        channel, blobs = batch
+        assert channel.open_many(blobs) == _loop_open(channel, blobs)
+
+    @pytest.mark.parametrize("position", POSITIONS)
+    @pytest.mark.parametrize("kind", ["bad-mac", "short-tag",
+                                      "three-fields", "truncated"])
+    def test_single_failure(self, batch, position, kind):
+        channel, blobs = batch
+        blobs[position] = _spoil(channel, blobs[position], kind)
+        expected = _loop_open(channel, blobs)
+        with pytest.raises(type(expected)) as info:
+            channel.open_many(blobs)
+        assert type(info.value) is type(expected)
+        assert str(info.value) == str(expected)
+
+    @pytest.mark.parametrize("first,second", [
+        (0, 1), (WIDTH // 2, WIDTH // 2 + 1), (WIDTH - 2, WIDTH - 1),
+        (0, WIDTH - 1)])
+    @pytest.mark.parametrize("kinds", [("bad-mac", "three-fields"),
+                                       ("three-fields", "bad-mac"),
+                                       ("bad-mac", "truncated"),
+                                       ("truncated", "short-tag")])
+    def test_first_failing_index_wins(self, batch, first, second, kinds):
+        channel, blobs = batch
+        blobs[first] = _spoil(channel, blobs[first], kinds[0])
+        blobs[second] = _spoil(channel, blobs[second], kinds[1])
+        expected = _loop_open(channel, blobs)
+        assert isinstance(expected, CryptoError)
+        with pytest.raises(CryptoError) as info:
+            channel.open_many(blobs)
+        assert type(info.value) is type(expected)
+        assert str(info.value) == str(expected)
+
+    def test_bad_mac_is_authentication_error(self, batch):
+        channel, blobs = batch
+        blobs[self.WIDTH // 2] = _spoil(channel, blobs[self.WIDTH // 2],
+                                        "bad-mac")
+        blobs[-1] = _spoil(channel, blobs[-1], "three-fields")
+        with pytest.raises(AuthenticationError):
+            channel.open_many(blobs)
+
+
 class TestHybrid:
 
     def test_roundtrip(self, rsa_key):

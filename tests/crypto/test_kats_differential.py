@@ -13,17 +13,21 @@ holds the two gates:
   reference implementations through identical inputs — all key sizes,
   CTR lengths straddling the sliced-path threshold, and a counter-wrap
   case near 2^128.
+* Ragged batches through the batch entry points (lockstep
+  ``AesCmac.tag_many``, one-pass ``AesCtr.process_many`` and
+  ``AES.encrypt_blocks``) against the reference, message by message.
 """
 
 import random
 
 import pytest
 
-from repro.crypto.aes import AES, BLOCK_SIZE, _SLICE_THRESHOLD
+from repro.crypto.aes import AES, BLOCK_SIZE, _SLICE_THRESHOLD, counter_blocks
 from repro.crypto.cmac import AesCmac
 from repro.crypto.ctr import AesCtr
 from repro.crypto.reference import (ReferenceAES, ReferenceAesCmac,
                                     ReferenceAesCtr)
+from repro.errors import CryptoError
 
 KEY_128 = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
 KEY_192 = bytes.fromhex(
@@ -178,10 +182,82 @@ class TestDifferentialFuzz:
             counter = rng.getrandbits(128)
             n_blocks = rng.randrange(_SLICE_THRESHOLD,
                                      4 * _SLICE_THRESHOLD)
-            sliced = aes._ctr_keystream_sliced(counter, n_blocks)
+            sliced = aes.encrypt_blocks(counter_blocks(counter, n_blocks))
             per_block = b"".join(
                 aes.encrypt_block(
                     ((counter + i) & ((1 << 128) - 1)).to_bytes(
                         16, "big"))
                 for i in range(n_blocks))
             assert sliced == per_block
+
+
+def _ragged_lengths(rng, width):
+    """Message lengths for one batch: empty, one block, exact block
+    multiples and arbitrary lengths, shuffled together."""
+    pool = [0, BLOCK_SIZE, 1, BLOCK_SIZE - 1, BLOCK_SIZE + 1,
+            2 * BLOCK_SIZE, 5 * BLOCK_SIZE]
+    lengths = [rng.choice(pool) if rng.random() < 0.5
+               else rng.randrange(0, 100) for _ in range(width)]
+    rng.shuffle(lengths)
+    return lengths
+
+
+class TestRaggedBatchDifferential:
+    """The batch entry points equal the reference message by message.
+
+    Widths 1-64 straddle ``_SLICE_THRESHOLD`` both for the number of
+    messages (lockstep CMAC) and for the total block count (the one CTR
+    keystream pass); mixed lengths make the lockstep chains end at
+    different steps.
+    """
+
+    KEY_SIZES = (16, 24, 32)
+
+    @pytest.mark.parametrize("key_size", KEY_SIZES)
+    def test_tag_many_matches_reference(self, key_size):
+        rng = random.Random(0x7A6 + key_size)
+        key = rng.randbytes(key_size)
+        fast, slow = AesCmac(key), ReferenceAesCmac(key)
+        for width in range(1, 65):
+            messages = [rng.randbytes(n)
+                        for n in _ragged_lengths(rng, width)]
+            assert fast.tag_many(messages) == \
+                [slow.tag(message) for message in messages], width
+
+    @pytest.mark.parametrize("key_size", KEY_SIZES)
+    def test_process_many_matches_reference(self, key_size):
+        rng = random.Random(0xC7B + key_size)
+        key = rng.randbytes(key_size)
+        fast, slow = AesCtr(key), ReferenceAesCtr(key)
+        for width in range(1, 65):
+            pairs = [(rng.randbytes(16), rng.randbytes(n))
+                     for n in _ragged_lengths(rng, width)]
+            assert fast.process_many(pairs) == \
+                [slow.process(nonce, data) for nonce, data in pairs], width
+
+    def test_process_many_counter_wrap(self):
+        """One pass over pairs whose counters wrap past 2^128."""
+        rng = random.Random(0x3F1)
+        key = rng.randbytes(16)
+        pairs = [(((1 << 128) - rng.randrange(1, 4)).to_bytes(16, "big"),
+                  rng.randbytes(rng.randrange(1, 90)))
+                 for _ in range(_SLICE_THRESHOLD)]
+        assert AesCtr(key).process_many(pairs) == \
+            [ReferenceAesCtr(key).process(nonce, data)
+             for nonce, data in pairs]
+
+    @pytest.mark.parametrize("key_size", KEY_SIZES)
+    def test_encrypt_blocks_matches_encrypt_block(self, key_size):
+        """Random (non-counter) blocks, both sides of the threshold."""
+        rng = random.Random(0xEB5 + key_size)
+        aes = AES(rng.randbytes(key_size))
+        for n_blocks in (0, 1, _SLICE_THRESHOLD - 1, _SLICE_THRESHOLD,
+                         _SLICE_THRESHOLD + 1, 33, 64, 257):
+            blocks = rng.randbytes(n_blocks * BLOCK_SIZE)
+            assert aes.encrypt_blocks(blocks) == b"".join(
+                aes.encrypt_block(blocks[i:i + BLOCK_SIZE])
+                for i in range(0, len(blocks), BLOCK_SIZE)), n_blocks
+
+    def test_encrypt_blocks_rejects_partial_block(self):
+        with pytest.raises(CryptoError):
+            AES(bytes(16)).encrypt_blocks(bytes(BLOCK_SIZE + 1))

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.protocol import build_publish, parse_publish
 from repro.errors import EnclaveLost, NetworkError
 from repro.ingress import (POLICY_DROP_OLDEST, SHED_QUEUE_FULL,
                            SHED_RATE_LIMIT, IngressConfig, IngressTier)
@@ -161,21 +162,26 @@ class TestCoalescing:
     def test_poison_pub_in_batch_quarantines_only_itself(self, world):
         """A corrupted envelope fails the whole batched ecall; the
         fallback isolates it per frame — the healthy neighbours still
-        deliver, only the poison frame is dead-lettered."""
+        deliver, only the poison frame is dead-lettered. The batch is
+        32 wide, so the ecall runs the lockstep CMAC path."""
         world.client("alice", subscription={"symbol": "HAL"})
         world.settle()
-        good = hal_frames(world, 3)
-        poison = bytearray(good[1])
-        poison[-1] ^= 0xFF  # break the header CMAC
-        tier = make_tier(world, batch_size=8)
+        frames = hal_frames(world, 32)
+        # Break the header CMAC (via its last aad byte) inside a
+        # well-formed PUB frame, so the tier coalesces it with the rest.
+        header, payload = parse_publish(frames[13])
+        frames[13] = build_publish(
+            header[:-1] + bytes([header[-1] ^ 1]), payload)
+        tier = make_tier(world, batch_size=32)
         connection = tier.connect("pub")
-        for frame in (good[0], bytes(poison), good[2]):
+        for frame in frames:
             connection.submit(frame)
         tier.pump()
         world.settle()
-        assert tier.accepted == 3  # poison is processed (quarantined)
+        assert tier.accepted == 32  # poison is processed (quarantined)
+        assert tier.batches == 1  # one 32-wide batched ecall
         assert len(world.router.dead_letters) == 1
-        assert len(world.deliveries()["alice"]) == 2
+        assert len(world.deliveries()["alice"]) == 31
 
 
 class TestCrashPutBack:
